@@ -894,11 +894,9 @@ let print_pipeline_stats snap ~shards ~combine ~steal ~supervise ~last_errors =
       else "")
   done;
   Printf.printf
-    "merges %d  epoch %.0f  published %d  decode failures %d  envelope width \
-     %.0f\n"
+    "merges %d  epoch %.0f  published %d  envelope width %.0f\n"
     (c "pipeline_merges_total") (g "pipeline_epoch")
     (c "pipeline_published_total")
-    (c "pipeline_decode_failures_total")
     (g "pipeline_envelope_width");
   (match Obs.Snapshot.find snap "pipeline_merge_lag_seconds" with
   | Some (Obs.Snapshot.Summary s) when s.s_count > 0 ->
@@ -1057,9 +1055,7 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
         float_of_int (max 0 (acc - st.P.published)))
       ~staleness:(fun () -> -1.0)
       ~merge_lag:(fun () ->
-        let lag = (P.stats p).P.merge_lag in
-        let n = Array.length lag in
-        if n = 0 then -1.0 else lag.(n - 1))
+        Option.value ~default:(-1.0) (P.last_merge_lag p))
       ()
   in
   let http =
@@ -1111,8 +1107,7 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
   in
   Atomic.set stop true;
   Domain.join reader;
-  let { P.shards = sh; merges; decode_failures; published; epoch = _; merge_lag = _ }
-      =
+  let { P.shards = sh; merges; published; epoch = _; merge_lag = _ } =
     P.stats p
   in
   Printf.printf "ingested %d/%d items in %.3fs (%.2f Mops/s, incl. drain)\n"
@@ -1138,7 +1133,6 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   if viols <> [] then add "%d IVL envelope violations" (List.length viols);
-  if decode_failures > 0 then add "%d wire decode failures" decode_failures;
   List.iter
     (fun (who, e) -> add "%s died unexpectedly: %s" who (Printexc.to_string e))
     (P.failures p);
@@ -2270,9 +2264,7 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
             float_of_int (max 0 (!base + enq - st.Srv.P.published)))
           ~staleness:(fun () -> -1.0)
           ~merge_lag:(fun () ->
-            let lag = (stats ()).Srv.P.merge_lag in
-            let n = Array.length lag in
-            if n = 0 then -1.0 else lag.(n - 1))
+            Option.value ~default:(-1.0) (Srv.P.last_merge_lag (Srv.engine srv)))
           ()
       in
       let http =

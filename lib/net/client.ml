@@ -120,6 +120,15 @@ let attempt t st ~seq ~ctx keys =
         | Ok frame -> (
             match Frame.decode_response frame with
             | Ok (Frame.Ack { accepted; dup; _ }) -> `Acked (accepted, dup)
+            | Ok (Frame.Err { code = Frame.Malformed; _ }) ->
+                (* The server could not parse what arrived: bytes damaged in
+                   transit, which a resend repairs — and dedup makes safe
+                   even when an earlier attempt of this batch was applied
+                   and only its ack was lost — or a frame over the server's
+                   cap, which the retries exhaust. The server closes the
+                   stream after answering. *)
+                drop_conn st;
+                `Transport
             | Ok (Frame.Err { code; msg }) ->
                 `Rejected (Frame.err_code_to_string code ^ ": " ^ msg)
             | Ok (Frame.Result _) | Error _ ->

@@ -314,11 +314,8 @@ module Make (M : Pipeline.Mergeable.S) = struct
             match !cur with
             | None -> -1.0
             | Some inc ->
-                let lag =
-                  (Srv.P.stats (Srv.engine inc.srv)).Srv.P.merge_lag
-                in
-                let n = Array.length lag in
-                if n = 0 then -1.0 else lag.(n - 1)
+                Option.value ~default:(-1.0)
+                  (Srv.P.last_merge_lag (Srv.engine inc.srv))
           in
           Mutex.unlock sm;
           v)

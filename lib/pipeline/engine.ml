@@ -21,10 +21,11 @@ module Make (M : Mergeable.S) = struct
   type delta = {
     shard : int;
     seq : int; (* per-incarnation flush sequence number *)
-    weight : int; (* stream items summarized in the blob *)
-    born : float; (* encode time, for merge-lag percentiles *)
+    weight : int; (* stream items summarized in the delta *)
+    born : float; (* flush time, for merge-lag percentiles *)
     ctx : Obs.Span.context; (* trace context, Span.zero for untraced deltas *)
-    blob : Bytes.t;
+    sketch : M.t; (* the worker's delta itself; the worker drops it on push *)
+    blob : Bytes.t option; (* its encoding, made only when [on_merge] is set *)
   }
 
   type shard = {
@@ -75,10 +76,9 @@ module Make (M : Mergeable.S) = struct
   type stats = {
     shards : shard_stats array;
     merges : int;
-    decode_failures : int;
     published : int;
     epoch : int;
-    merge_lag : float array; (* seconds, one sample per merge *)
+    merge_lag : float array; (* seconds, the most recent [lag_cap] merges *)
   }
 
   type t = {
@@ -93,13 +93,13 @@ module Make (M : Mergeable.S) = struct
       option;
     checkpoint_every : int; (* 0 = no checkpoints *)
     on_checkpoint : (epoch:int -> published:int -> blob:Bytes.t -> unit) option;
-    gm : Mutex.t; (* guards global/epoch/published/lags *)
+    gm : Mutex.t; (* guards global/epoch/published/lags/lag_count *)
     mutable global : M.t;
     mutable epoch : int;
     mutable published : int;
-    mutable lags : float list;
+    mutable lags : Float.Array.t; (* ring of merge lags, see [push_lag] *)
+    mutable lag_count : int; (* merges ever recorded in [lags] *)
     merges : int Atomic.t;
-    decode_failures : int Atomic.t;
     merger_failed : exn option Atomic.t;
     lag_timer : Obs.Timer.t option; (* merge-lag quantiles, observed per merge *)
     trace : Obs.Trace.t option; (* lanes: worker i -> i, merger -> n, watchdog -> n+1 *)
@@ -138,6 +138,24 @@ module Make (M : Mergeable.S) = struct
     d
 
   let shard_count t = Array.length t.shards
+
+  (* Merge-lag history: the most recent [lag_cap] samples, unboxed. The ring
+     starts small and doubles while it is still linear (lag_count = its
+     length), so memory follows min(merges, lag_cap); once at the cap it
+     wraps. Called under [gm]. *)
+  let lag_cap = 1 lsl 20
+
+  let push_lag t x =
+    let cap = Float.Array.length t.lags in
+    if t.lag_count = cap && cap < lag_cap then begin
+      let bigger = Float.Array.create (2 * cap) in
+      Float.Array.blit t.lags 0 bigger 0 cap;
+      t.lags <- bigger
+    end;
+    Float.Array.set t.lags
+      (t.lag_count land (Float.Array.length t.lags - 1))
+      x;
+    t.lag_count <- t.lag_count + 1
 
   (* SplitMix64-style finalizer (truncated to native int) so adjacent
      elements spread across shards. *)
@@ -203,11 +221,15 @@ module Make (M : Mergeable.S) = struct
                   in
                   Obs.Span.with_parent ctx sid)
         in
-        let blob = M.encode !local in
+        (* The delta object itself travels to the merger; bytes are made
+           here, once, only for a consumer of them (WAL, replication). *)
+        let blob =
+          match t.on_merge with Some _ -> Some (M.encode !local) | None -> None
+        in
         incr seq;
         let d =
           { shard = i; seq = !seq; weight = !count;
-            born = Unix.gettimeofday (); ctx; blob }
+            born = Unix.gettimeofday (); ctx; sketch = !local; blob }
         in
         if Squeue.push t.mq d then begin
           ignore (Atomic.fetch_and_add s.flushed_items !count);
@@ -314,8 +336,8 @@ module Make (M : Mergeable.S) = struct
         Squeue.close s.q;
         Atomic.set s.alive false
 
-  (* The merger is the pipeline's only writer of the global sketch: decode
-     the blob, fold it in under the mutex, stamp a new epoch. The recorded
+  (* The merger is the pipeline's only writer of the global sketch: fold the
+     shipped delta in under the mutex, stamp a new epoch. The recorded
      update op brackets exactly the merge critical section, so the history
      seen by the envelope checker is the pipeline's published state. The
      durability hooks run after the critical section, still in the merger's
@@ -328,67 +350,62 @@ module Make (M : Mergeable.S) = struct
       match Squeue.pop t.mq with
       | None -> ()
       | Some d ->
-          (match M.decode d.blob with
-          | Error _ -> ignore (Atomic.fetch_and_add t.decode_failures 1)
-          | Ok delta ->
-              let stamped = ref 0 in
-              let lag = ref 0.0 in
-              Conc.Recorder.record_update t.rec_ ~domain:dom ~obj:0 d.weight
-                (fun () ->
-                  Mutex.lock t.gm;
-                  t.global <- M.merge t.global delta;
-                  t.epoch <- t.epoch + 1;
-                  t.published <- t.published + d.weight;
-                  lag := Unix.gettimeofday () -. d.born;
-                  t.lags <- !lag :: t.lags;
-                  stamped := t.epoch;
-                  Mutex.unlock t.gm);
-              ignore (Atomic.fetch_and_add t.merges 1);
-              (match t.lag_timer with
-              | Some tm -> Obs.Timer.observe tm !lag
-              | None -> ());
-              (match t.trace with
-              | Some tr ->
-                  Obs.Trace.emit tr ~lane:dom ~tag:"merge" ~a:!stamped
-                    ~b:d.weight
-              | None -> ());
-              (* The merge span starts at the delta's encode time, so it
-                 covers merger-queue residency plus the fold itself —
-                 the same window [lag_timer] measures. *)
-              let ctx_out =
-                match t.tracer with
-                | Some tr when not (Obs.Span.is_zero d.ctx) ->
-                    let sid =
-                      Obs.Tracer.record tr ~ctx:d.ctx ~stage:"merge"
-                        ~start_ns:(int_of_float (d.born *. 1e9))
-                        ~end_ns:(Obs.Tracer.now_ns ())
-                    in
-                    Obs.Span.with_parent d.ctx sid
-                | _ -> d.ctx
-              in
-              (match t.on_merge with
-              | Some f ->
-                  f ~ctx:ctx_out ~epoch:!stamped ~weight:d.weight ~blob:d.blob
-              | None -> ());
-              if
-                t.checkpoint_every > 0
-                && !stamped mod t.checkpoint_every = 0
-                && t.on_checkpoint <> None
-              then begin
-                Mutex.lock t.gm;
-                let blob = M.encode t.global
-                and epoch = t.epoch
-                and published = t.published in
-                Mutex.unlock t.gm;
-                (match t.trace with
-                | Some tr ->
-                    Obs.Trace.emit tr ~lane:dom ~tag:"checkpoint" ~a:epoch
-                      ~b:published
-                | None -> ());
-                match t.on_checkpoint with
-                | Some f -> f ~epoch ~published ~blob
-                | None -> ()
-              end);
+          let stamped = ref 0 in
+          let lag = ref 0.0 in
+          Conc.Recorder.record_update t.rec_ ~domain:dom ~obj:0 d.weight
+            (fun () ->
+              Mutex.lock t.gm;
+              t.global <- M.merge t.global d.sketch;
+              t.epoch <- t.epoch + 1;
+              t.published <- t.published + d.weight;
+              lag := Unix.gettimeofday () -. d.born;
+              push_lag t !lag;
+              stamped := t.epoch;
+              Mutex.unlock t.gm);
+          ignore (Atomic.fetch_and_add t.merges 1);
+          (match t.lag_timer with
+          | Some tm -> Obs.Timer.observe tm !lag
+          | None -> ());
+          (match t.trace with
+          | Some tr ->
+              Obs.Trace.emit tr ~lane:dom ~tag:"merge" ~a:!stamped ~b:d.weight
+          | None -> ());
+          (* The merge span starts at the delta's flush time, so it covers
+             merger-queue residency plus the fold itself — the same window
+             [lag_timer] measures. *)
+          let ctx_out =
+            match t.tracer with
+            | Some tr when not (Obs.Span.is_zero d.ctx) ->
+                let sid =
+                  Obs.Tracer.record tr ~ctx:d.ctx ~stage:"merge"
+                    ~start_ns:(int_of_float (d.born *. 1e9))
+                    ~end_ns:(Obs.Tracer.now_ns ())
+                in
+                Obs.Span.with_parent d.ctx sid
+            | _ -> d.ctx
+          in
+          (match (t.on_merge, d.blob) with
+          | Some f, Some blob -> f ~ctx:ctx_out ~epoch:!stamped ~weight:d.weight ~blob
+          | _ -> ());
+          if
+            t.checkpoint_every > 0
+            && !stamped mod t.checkpoint_every = 0
+            && t.on_checkpoint <> None
+          then begin
+            Mutex.lock t.gm;
+            let blob = M.encode t.global
+            and epoch = t.epoch
+            and published = t.published in
+            Mutex.unlock t.gm;
+            (match t.trace with
+            | Some tr ->
+                Obs.Trace.emit tr ~lane:dom ~tag:"checkpoint" ~a:epoch
+                  ~b:published
+            | None -> ());
+            match t.on_checkpoint with
+            | Some f -> f ~epoch ~published ~blob
+            | None -> ()
+          end;
           loop ()
     in
     try loop () with e -> Atomic.set t.merger_failed (Some e)
@@ -484,9 +501,6 @@ module Make (M : Mergeable.S) = struct
       (fun () -> sum (fun (s : shard) -> s.restarts));
     counter "pipeline_merges_total" "Deltas folded into the global sketch"
       (fun () -> Atomic.get t.merges);
-    counter "pipeline_decode_failures_total"
-      "Blobs the merger could not decode" (fun () ->
-        Atomic.get t.decode_failures);
     counter "pipeline_published_total"
       "Total weight merged into the published sketch" (fun () ->
         Mutex.lock t.gm;
@@ -540,7 +554,7 @@ module Make (M : Mergeable.S) = struct
         scounter "pipeline_shard_flushed_items_total"
           "Elements this shard shipped to the merger" (fun s ->
             s.flushed_items);
-        scounter "pipeline_shard_flushes_total" "Blobs this shard shipped"
+        scounter "pipeline_shard_flushes_total" "Deltas this shard shipped"
           (fun s -> s.flushes);
         scounter "pipeline_shard_coalesced_total"
           "Updates this shard's combining buffer folded away" (fun s ->
@@ -626,15 +640,15 @@ module Make (M : Mergeable.S) = struct
         global = M.create ();
         epoch = 0;
         published = 0;
-        lags = [];
+        lags = Float.Array.create 64;
+        lag_count = 0;
         merges = Atomic.make 0;
-        decode_failures = Atomic.make 0;
         merger_failed = Atomic.make None;
         lag_timer =
           Option.map
             (fun reg ->
               Obs.Registry.timer reg
-                ~help:"Seconds from delta encode to merge into the global"
+                ~help:"Seconds from delta flush to merge into the global"
                 "pipeline_merge_lag_seconds")
             metrics;
         trace;
@@ -765,10 +779,26 @@ module Make (M : Mergeable.S) = struct
     Mutex.unlock t.gm;
     e
 
+  let last_merge_lag t =
+    Mutex.lock t.gm;
+    let v =
+      if t.lag_count = 0 then None
+      else
+        Some
+          (Float.Array.get t.lags
+             ((t.lag_count - 1) land (Float.Array.length t.lags - 1)))
+    in
+    Mutex.unlock t.gm;
+    v
+
   let stats t =
     Mutex.lock t.gm;
     let epoch = t.epoch and published = t.published in
-    let merge_lag = Array.of_list (List.rev t.lags) in
+    let n = min t.lag_count (Float.Array.length t.lags) in
+    let first = t.lag_count - n and mask = Float.Array.length t.lags - 1 in
+    let merge_lag =
+      Array.init n (fun j -> Float.Array.get t.lags ((first + j) land mask))
+    in
     Mutex.unlock t.gm;
     {
       shards =
@@ -793,7 +823,6 @@ module Make (M : Mergeable.S) = struct
             })
           t.shards;
       merges = Atomic.get t.merges;
-      decode_failures = Atomic.get t.decode_failures;
       published;
       epoch;
       merge_lag;

@@ -7,7 +7,7 @@
 
     {v
       ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┐
-      ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┤ encoded blobs
+      ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┤ delta sketches
       ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┘      │
                                                                     ▼
                                                   [merger queue]──▶ merger:
@@ -17,10 +17,12 @@
     v}
 
     Each worker owns its shard's delta exclusively (no locks on the update
-    path); every [batch] items it encodes the delta as a {!Wire.Codec} blob
-    and ships it to the merger, which decodes and folds it into the global
-    sketch under a mutex, bumping the epoch. A query therefore sees a
-    snapshot: some prefix of merges, never a torn delta — the merged counter
+    path); every [batch] items it hands the delta object itself to the
+    merger and starts a fresh one. The merger folds it into the global
+    sketch with [M.merge] under a mutex, bumping the epoch. No bytes are
+    made inside the process unless [on_merge] consumes them: then the
+    worker encodes each delta once, before shipping it. A query therefore
+    sees a snapshot: some prefix of merges, never a torn delta — the merged counter
     of published weights is IVL by construction, and the recorded history
     ({!Make.history}: one update op per merge, one query op per
     {!Make.read_total}) lets {!Ivl.Monotone} verify that end-to-end on real
@@ -71,8 +73,8 @@ module Make (M : Mergeable.S) : sig
     enqueued : int;  (** elements accepted into the shard queue *)
     dropped : int;  (** shed: queue closed (dead worker) or [try_ingest] full *)
     consumed : int;  (** elements the worker folded into deltas *)
-    flushed_items : int;  (** elements shipped to the merger in blobs *)
-    flushes : int;  (** blobs shipped *)
+    flushed_items : int;  (** elements shipped to the merger in deltas *)
+    flushes : int;  (** deltas shipped *)
     max_depth : int;  (** high-water queue depth observed at ingest *)
     alive : bool;
     restarts : int;  (** supervisor restarts of this shard's worker *)
@@ -94,10 +96,11 @@ module Make (M : Mergeable.S) : sig
   type stats = {
     shards : shard_stats array;
     merges : int;  (** deltas folded into the global sketch *)
-    decode_failures : int;  (** blobs the merger could not decode *)
     published : int;  (** total weight merged — what {!read_total} returns *)
     epoch : int;  (** merge counter; stamps every query snapshot *)
-    merge_lag : float array;  (** seconds from delta encode to merge, per merge *)
+    merge_lag : float array;
+        (** seconds from delta flush to merge, one per merge, oldest first;
+            only the most recent 2{^20} merges are kept *)
   }
 
   val create :
@@ -149,13 +152,15 @@ module Make (M : Mergeable.S) : sig
       {!Mergeable.S.update_many} per distinct key, so a skewed batch's
       duplicates cost one sketch update instead of many. The delta after
       the batch is identical for weight-linear sketches (CountMin,
-      Counter) and summary-equivalent for the rest; flush cadence, blobs,
+      Counter) and summary-equivalent for the rest; flush cadence, deltas,
       and the IVL envelope are unchanged. Savings are reported per shard
       as {!shard_stats.coalesced}.
 
       [on_merge ~ctx ~epoch ~weight ~blob] runs in the merger's domain after
       each merge, in strict epoch order, outside the query mutex — the WAL
-      append point. [ctx] is the merged delta's trace context
+      append point. [blob] is the delta's [M.encode], made once by the
+      worker that flushed it; without [on_merge] no delta is ever encoded.
+      [ctx] is the merged delta's trace context
       ({!Obs.Span.zero} unless the delta carried a sampled mark — see
       [tracer] below), already re-parented onto the merge span, so a WAL
       wrapper can record its append as the next stage of the waterfall. When [checkpoint_every > 0], every [checkpoint_every]-th epoch
@@ -169,8 +174,7 @@ module Make (M : Mergeable.S) : sig
       [pipeline_ingested_total], [pipeline_dropped_total],
       [pipeline_consumed_total], [pipeline_flushed_items_total],
       [pipeline_coalesced_total], [pipeline_restarts_total],
-      [pipeline_merges_total], [pipeline_decode_failures_total],
-      [pipeline_published_total], [pipeline_epoch],
+      [pipeline_merges_total], [pipeline_published_total], [pipeline_epoch],
       [pipeline_shed_shards], per-shard series labelled [shard="i"]
       ([pipeline_queue_depth] — a TTL-cached snapshot refreshed at most
       once per ~20 ms so a scrape costs one length sweep instead of
@@ -196,7 +200,7 @@ module Make (M : Mergeable.S) : sig
       {!trace_mark} tags a shard with a context, that worker's next flush
       records a ["queue"] span (mark → flush: queue residency plus fold,
       both queue implementations) and attaches the context to the delta;
-      the merger then records a ["merge"] span (encode → merged, the same
+      the merger then records a ["merge"] span (flush → merged, the same
       window as [pipeline_merge_lag_seconds]) and hands the re-parented
       context to [on_merge]. Unsampled traffic pays one atomic-load branch
       per flush.
@@ -260,7 +264,13 @@ module Make (M : Mergeable.S) : sig
 
   val stats : t -> stats
   (** Callable mid-run (racy per-shard counters, consistent merger block) or
-      after {!drain} (exact). *)
+      after {!drain} (exact). Copies the merge-lag history under the merge
+      mutex: O(merges) up to 2{^20}, so pollers that need only the latest
+      lag use {!last_merge_lag}. *)
+
+  val last_merge_lag : t -> float option
+  (** The newest merge's lag in seconds — the last element of
+      [(stats t).merge_lag] — in O(1); [None] before the first merge. *)
 
   val dead : t -> int list
   (** Shards whose worker is currently dead (mid-restart or shed), ascending. *)

@@ -1,17 +1,21 @@
 (** The contract a sketch must meet to ride the sharded ingestion pipeline.
 
     A [t] plays two roles: the {e shard-local delta} each worker accumulates
-    (born empty via [create], fed by [update], shipped as a {!Wire.Codec}
-    blob), and the {e global sketch} the merger folds deltas into with
-    [merge]. The pipeline is correct for any summary where merge is
+    (born empty via [create], fed by [update], handed to the merger as the
+    object itself), and the {e global sketch} the merger folds deltas into
+    with [merge]. The pipeline is correct for any summary where merge is
     associative and commutative with [create ()] as identity — the
     "mergeable summaries" algebra (Agarwal et al.) that every sketch in this
     repository satisfies; the merge-algebra property tests pin it down.
 
-    [encode]/[decode] put the wire codecs on the hot path: every delta a
-    worker ships to the merger is a versioned, checksummed blob, so codec
-    bugs surface immediately as decode failures in the pipeline stats rather
-    than lying dormant until a first networked deployment. *)
+    [encode]/[decode] are for bytes that leave the process. Inside it the
+    shard and the merger share one address space, so no delta is
+    serialized on its way to the merger. A delta is encoded once, by its
+    worker, only when the engine has an [on_merge] consumer (the WAL,
+    replication); checkpoints and snapshots encode the global. Decoding
+    happens on WAL replay, at a replica and at a checkpoint load. The codecs
+    are exercised on those paths and by the round-trip and corruption tests,
+    which keep them honest without a hot-path round trip. *)
 
 module type S = sig
   type t
@@ -41,9 +45,11 @@ module type S = sig
       all deltas come from [create]). *)
 
   val encode : t -> Bytes.t
-  (** Serialize a delta for the merger queue. *)
+  (** Serialize a delta or the global sketch — a WAL record, a checkpoint,
+      a replication frame. The same state must always give the same bytes:
+      replicas are checked against their leader by comparing encodings. *)
 
   val decode : Bytes.t -> (t, Wire.Codec.error) result
-  (** Deserialize; never raises. A [Error] at the merger counts as a
-      decode failure in the pipeline stats (and loses that delta). *)
+  (** Deserialize; never raises. An [Error] on WAL replay counts as a
+      recovery decode failure (and loses that record). *)
 end

@@ -79,9 +79,13 @@ let spin_budget = 64 (* cpu_relax rounds before parking/yielding *)
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
+  (* At least two slots: with one, a slot's recycled seq (pos + size)
+     equals its published seq (pos + 1), so a producer can claim the slot
+     between a consumer's head CAS and its copy, and the consumer then
+     copies the new value and overwrites its publish. *)
   let size =
     let rec up n = if n >= capacity then n else up (n * 2) in
-    up 1
+    up 2
   in
   {
     mask = size - 1;

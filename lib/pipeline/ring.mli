@@ -21,8 +21,9 @@
 type 'a t
 
 val create : capacity:int -> 'a t
-(** The slot array is rounded up to a power of two but [capacity] itself
-    is enforced exactly, matching {!Mpsc} backpressure semantics.
+(** The slot array is rounded up to a power of two, at least 2, but
+    [capacity] itself is enforced exactly, matching {!Mpsc} backpressure
+    semantics.
     @raise Invalid_argument if [capacity <= 0]. *)
 
 val push : 'a t -> 'a -> bool

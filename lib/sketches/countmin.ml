@@ -63,6 +63,17 @@ let error_bound t = Float.exp 1.0 /. float_of_int (width t) *. float_of_int t.n
 
 let cell t ~row ~col = t.cells.(row).(col)
 
+let iter_nonzero t f =
+  let w = width t in
+  Array.iteri
+    (fun i row ->
+      let base = i * w in
+      for j = 0 to w - 1 do
+        let c = Array.unsafe_get row j in
+        if c <> 0 then f (base + j) c
+      done)
+    t.cells
+
 let reset t =
   Array.iter (fun r -> Array.fill r 0 (Array.length r) 0) t.cells;
   t.n <- 0
@@ -79,15 +90,15 @@ let merge a b =
   t.n <- a.n + b.n;
   t
 
-let of_cells ~family ~n cells =
-  let d = Hashing.Family.rows family and w = Hashing.Family.width family in
-  if n < 0 then invalid_arg "Countmin.of_cells: n must be non-negative";
-  if Array.length cells <> d then invalid_arg "Countmin.of_cells: wrong row count";
-  Array.iter
-    (fun row ->
-      if Array.length row <> w then invalid_arg "Countmin.of_cells: wrong row width";
-      Array.iter
-        (fun c -> if c < 0 then invalid_arg "Countmin.of_cells: negative counter")
-        row)
-    cells;
-  { family; cells = Array.map Array.copy cells; n }
+let of_nonzero ~family ~n fill =
+  if n < 0 then invalid_arg "Countmin.of_nonzero: n must be non-negative";
+  let t = create ~family in
+  let w = width t in
+  let total = rows t * w in
+  fill (fun i c ->
+      if i < 0 || i >= total then
+        invalid_arg "Countmin.of_nonzero: index out of range";
+      if c < 0 then invalid_arg "Countmin.of_nonzero: negative counter";
+      t.cells.(i / w).(i mod w) <- c);
+  t.n <- n;
+  t

@@ -51,6 +51,10 @@ val error_bound : t -> float
 val cell : t -> row:int -> col:int -> int
 (** Direct counter access (tests and debugging). *)
 
+val iter_nonzero : t -> (int -> int -> unit) -> unit
+(** [iter_nonzero t f] calls [f (row * width + col) count] for every
+    nonzero counter, in row-major order — the sparse wire encoder's scan. *)
+
 val reset : t -> unit
 (** Zero all counters and the update count. *)
 
@@ -63,8 +67,11 @@ val merge : t -> t -> t
     @raise Invalid_argument unless the families are
     {!Hashing.Family.compatible} (same coin-flip vector). *)
 
-val of_cells : family:Hashing.Family.t -> n:int -> int array array -> t
-(** Rebuild a sketch from a counter image (deep-copied): d×w cells and the
-    stream length [n]. The wire codec's decode path.
-    @raise Invalid_argument on dimension mismatches, negative counters or
-    negative [n]. *)
+val of_nonzero :
+  family:Hashing.Family.t -> n:int -> ((int -> int -> unit) -> unit) -> t
+(** [of_nonzero ~family ~n fill] is the inverse of {!iter_nonzero}: a
+    zeroed sketch whose counters [fill] sets, [set (row * width + col)
+    count] per call, with stream length [n]. The wire codec's decode
+    path; it allocates the matrix once.
+    @raise Invalid_argument on an index outside [0, rows·width), a
+    negative counter or a negative [n]. *)

@@ -54,6 +54,7 @@ let net_delta_kind = 15
 let net_hello_kind = 16
 let net_session_kind = 17
 let net_batch2_kind = 18
+let countmin_sparse_kind = 19
 
 let kind_name = function
   | 1 -> "countmin"
@@ -74,9 +75,10 @@ let kind_name = function
   | 16 -> "net-hello"
   | 17 -> "net-session"
   | 18 -> "net-batch2"
+  | 19 -> "countmin-sparse"
   | k -> Printf.sprintf "unknown(%d)" k
 
-let known_kind k = k >= 1 && k <= 18
+let known_kind k = k >= 1 && k <= 19
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Decode_error (Corrupt msg))) fmt
 
@@ -108,6 +110,17 @@ let float_ b v = i64 b (Int64.bits_of_float v)
 let bytes_ b v =
   u32 b (Bytes.length v);
   Buffer.add_bytes b v
+
+(* LEB128: seven bits per byte, least significant group first, high bit set
+   on every byte but the last. *)
+let uvarint b v =
+  if v < 0 then invalid_arg "Wire.Codec.uvarint: negative";
+  let v = ref v in
+  while !v >= 0x80 do
+    Buffer.add_uint8 b (!v land 0x7F lor 0x80);
+    v := !v lsr 7
+  done;
+  Buffer.add_uint8 b !v
 
 let seal ~kind payload =
   let plen = Buffer.length payload in
@@ -159,6 +172,21 @@ let read_int r =
   n
 
 let read_float r = Int64.float_of_bits (read_i64 r)
+
+(* A native int holds 62 value bits: nine groups of seven, the ninth at most
+   six bits wide. Overlong forms (a final zero group) are rejected, so every
+   value has exactly one accepted spelling. *)
+let rec read_uvarint_at r acc shift =
+  let byte = read_u8 r in
+  let group = byte land 0x7F in
+  if shift = 56 && (byte land 0x80 <> 0 || group >= 0x40) then
+    corrupt "varint overflows a native int";
+  let acc = acc lor (group lsl shift) in
+  if byte land 0x80 <> 0 then read_uvarint_at r acc (shift + 7)
+  else if group = 0 && shift > 0 then corrupt "overlong varint"
+  else acc
+
+let read_uvarint r = read_uvarint_at r 0 0
 
 let read_bytes r =
   let len = read_u32 r in

@@ -50,6 +50,13 @@ val peek : Bytes.t -> (string * int, error) result
 (** {2 Kind tags} — wire constants; never renumber, only append. *)
 
 val countmin_kind : int
+(** The legacy dense CountMin image: every cell as a fixed 8-byte integer.
+    Still decoded ({!Countmin.decode}); no longer written. *)
+
+val countmin_sparse_kind : int
+(** The CountMin image {!Countmin.encode} writes: only the nonzero cells,
+    as varint (index gap, value) pairs. *)
+
 val hll_kind : int
 val kmv_kind : int
 val quantiles_kind : int
@@ -133,6 +140,10 @@ val bytes_ : writer -> Bytes.t -> unit
 (** Length-prefixed byte string — used by envelope payloads (WAL records,
     checkpoints) that nest an already-framed blob. *)
 
+val uvarint : writer -> int -> unit
+(** Unsigned LEB128: 1 byte below 128, at most 9 for any native int.
+    @raise Invalid_argument on a negative value. *)
+
 val encode : kind:int -> (writer -> unit) -> Bytes.t
 (** [encode ~kind build] runs [build] on a fresh payload buffer and seals it
     with the header and checksum. *)
@@ -147,6 +158,10 @@ val read_i64 : reader -> int64
 val read_int : reader -> int
 val read_float : reader -> float
 val read_bytes : reader -> Bytes.t
+
+val read_uvarint : reader -> int
+(** Inverse of {!uvarint}. A value that overflows a native int, or an
+    overlong spelling (trailing zero group), is [Corrupt]. *)
 
 val corrupt : ('a, unit, string, 'b) format4 -> 'a
 (** [corrupt fmt …] raises {!Decode_error} with a [Corrupt] payload — for

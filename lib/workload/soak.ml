@@ -179,8 +179,8 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
   let run_round r =
     (* ---- recover the previous incarnation (rounds > 0) ---- *)
     let pre_ckpt = Durable.Checkpoint.latest ~dir:c.dir in
-    let initial, rec_epoch, rec_pub, wal_trunc, epoch_regress =
-      if r = 0 then (None, 0, 0, 0, 0)
+    let initial, rec_epoch, rec_pub, wal_trunc, rec_decode_failures, epoch_regress =
+      if r = 0 then (None, 0, 0, 0, 0, 0)
       else
         match R.recover_compact ~dir:c.dir () with
         | Error m -> raise (Abort (Printf.sprintf "round %d: recovery failed: %s" r m))
@@ -206,6 +206,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
               rep.recovered_epoch,
               rep.recovered_published,
               rep.bytes_truncated,
+              rep.decode_failures,
               !regress )
     in
     prev_rec_epoch := rec_epoch;
@@ -304,11 +305,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
     let restarts =
       Array.fold_left (fun a (s : P.shard_stats) -> a + s.restarts) 0 st.shards
     in
-    let conservation_failures =
-      if st.decode_failures = 0 && st.published - base <> flushed then 1
-      else if st.published > base + flushed then 1 (* weight invented *)
-      else 0
-    in
+    let conservation_failures = if st.published - base <> flushed then 1 else 0 in
     let monotone_violations = List.length (Mono.violations (P.history eng)) in
     let unexpected_failures = List.length (P.failures eng) in
     let otot = oracle_totals () in
@@ -348,7 +345,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
         reader_regressions = !reader_regressions;
         conservation_failures;
         epoch_regressions = epoch_regress;
-        decode_failures = st.decode_failures;
+        decode_failures = rec_decode_failures;
         unexpected_failures;
         oracle_lower_violations = !lower_v;
         oracle_upper_failures = !upper_f;
@@ -401,7 +398,8 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
       if r.epoch_regressions > 0 then
         add "round %d: recovery regressed the published epoch" r.round;
       if r.decode_failures > 0 then
-        add "round %d: %d blob decode failures" r.round r.decode_failures;
+        add "round %d: %d WAL record decode failures at recovery" r.round
+          r.decode_failures;
       if r.unexpected_failures > 0 then
         add "round %d: %d unexpected engine failures" r.round r.unexpected_failures;
       if r.oracle_lower_violations > 0 then

@@ -74,6 +74,7 @@ type round_report = {
   conservation_failures : int;  (** published ≠ flushed weight *)
   epoch_regressions : int;  (** recovery outside its envelope *)
   decode_failures : int;
+      (** WAL records this round's recovery could not decode (0 in round 0) *)
   unexpected_failures : int;  (** engine exceptions that are never expected *)
   oracle_lower_violations : int;  (** est + lost < true — unconditional *)
   oracle_upper_failures : int;  (** est > true + αn — δ-budgeted *)

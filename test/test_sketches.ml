@@ -98,6 +98,36 @@ let test_cm_reset () =
   Alcotest.(check int) "count cleared" 0 (Sketches.Countmin.updates cm);
   Alcotest.(check int) "cells cleared" 0 (Sketches.Countmin.query cm 1)
 
+(* iter_nonzero lists exactly the nonzero counters, row-major, and
+   of_nonzero rebuilds the same sketch from them. *)
+let test_cm_nonzero_roundtrip () =
+  let family = Hashing.Family.seeded ~seed:9L ~rows:3 ~width:16 in
+  let cm = Sketches.Countmin.create ~family in
+  List.iter (Sketches.Countmin.update cm) [ 4; 8; 15; 16; 23; 42; 42 ];
+  let seen = ref [] in
+  Sketches.Countmin.iter_nonzero cm (fun i c -> seen := (i, c) :: !seen);
+  let seen = List.rev !seen in
+  let expect = ref [] in
+  for i = (3 * 16) - 1 downto 0 do
+    let c = Sketches.Countmin.cell cm ~row:(i / 16) ~col:(i mod 16) in
+    if c <> 0 then expect := (i, c) :: !expect
+  done;
+  Alcotest.(check (list (pair int int))) "nonzero cells, row-major" !expect seen;
+  let back =
+    Sketches.Countmin.of_nonzero ~family ~n:7 (fun set ->
+        List.iter (fun (i, c) -> set i c) seen)
+  in
+  Alcotest.(check int) "n" 7 (Sketches.Countmin.updates back);
+  for i = 0 to (3 * 16) - 1 do
+    let row = i / 16 and col = i mod 16 in
+    Alcotest.(check int) "cell"
+      (Sketches.Countmin.cell cm ~row ~col)
+      (Sketches.Countmin.cell back ~row ~col)
+  done;
+  Alcotest.check_raises "index past the matrix"
+    (Invalid_argument "Countmin.of_nonzero: index out of range") (fun () ->
+      ignore (Sketches.Countmin.of_nonzero ~family ~n:0 (fun set -> set 48 1)))
+
 (* ------------------------- Count sketch ------------------------- *)
 
 let test_count_sketch_unbiased_ballpark () =
@@ -820,6 +850,8 @@ let () =
           Alcotest.test_case "updates and error bound" `Quick
             test_cm_updates_and_error_bound;
           Alcotest.test_case "reset" `Quick test_cm_reset;
+          Alcotest.test_case "nonzero cells round-trip" `Quick
+            test_cm_nonzero_roundtrip;
           Alcotest.test_case "merge family check" `Quick
             test_cm_merge_requires_compatible_family;
         ] );

@@ -104,7 +104,7 @@ let codecs =
   [
     {
       label = "countmin";
-      kind = "countmin";
+      kind = "countmin-sparse";
       blob_of = (fun xs -> Wire.Countmin.encode (cm_of xs));
       roundtrips =
         (fun xs ->
@@ -283,6 +283,206 @@ let test_trailing_garbage () =
       expect_error ~what:"3 trailing bytes" c b)
     codecs
 
+(* ------------------------- sparse CountMin ------------------------- *)
+
+(* A sketch straight from a counter image, so shapes a stream rarely makes
+   (one cell, every cell, counters near max_int) are easy to ask for. *)
+let cm_of_cells ~n cells =
+  Sketches.Countmin.of_nonzero ~family:cm_family ~n (fun set ->
+      Array.iteri
+        (fun r row -> Array.iteri (fun c v -> set ((r * Array.length row) + c) v) row)
+        cells)
+let cm_rows = Hashing.Family.rows cm_family
+let cm_width = Hashing.Family.width cm_family
+let cm_cells = cm_rows * cm_width
+
+let cm_image_gen =
+  let open QCheck.Gen in
+  let value = oneof [ int_range 1 300; int_range (max_int - 1000) max_int ] in
+  let cells f = Array.init cm_rows (fun r -> Array.init cm_width (fun c -> f r c)) in
+  let shape =
+    oneof
+      [
+        return (cells (fun _ _ -> 0));
+        (let* at = int_bound (cm_cells - 1) and* v = value in
+         return (cells (fun r c -> if (r * cm_width) + c = at then v else 0)));
+        (let* vs = array_repeat cm_cells value in
+         return (cells (fun r c -> vs.((r * cm_width) + c))));
+        (let* vs = array_repeat cm_cells (pair (float_bound_inclusive 1.0) value) in
+         return
+           (cells (fun r c ->
+                let p, v = vs.((r * cm_width) + c) in
+                if p < 0.2 then v else 0)));
+      ]
+  in
+  pair shape (int_bound max_int)
+
+let cm_image_arb =
+  QCheck.make
+    ~print:(fun (cells, n) ->
+      let nnz =
+        Array.fold_left
+          (fun a row -> Array.fold_left (fun a c -> if c <> 0 then a + 1 else a) a row)
+          0 cells
+      in
+      Printf.sprintf "n=%d, %d nonzero cells" n nnz)
+    cm_image_gen
+
+let sparse_roundtrip (cells, n) =
+  let cm = cm_of_cells ~n cells in
+  let blob = Wire.Countmin.encode cm in
+  (match Wire.Codec.peek blob with
+  | Ok ("countmin-sparse", _) -> true
+  | _ -> false)
+  && check_rt cm_equal Wire.Countmin.decode blob cm
+
+(* One sketch, one spelling: re-encoding, re-decoding, or building the same
+   state by another update order all give the same bytes. *)
+let test_sparse_canonical () =
+  let a = cm_of sample and b = cm_of (List.rev sample) in
+  let blob = Wire.Countmin.encode a in
+  Alcotest.(check bytes) "encode is deterministic" blob (Wire.Countmin.encode a);
+  Alcotest.(check bytes) "update order does not show" blob (Wire.Countmin.encode b);
+  match Wire.Countmin.decode blob with
+  | Ok a' -> Alcotest.(check bytes) "decode-encode is the identity" blob (Wire.Countmin.encode a')
+  | Error e -> Alcotest.fail (Wire.Codec.error_to_string e)
+
+(* A full sketch of small counters still beats the dense image's 8 bytes
+   per cell. *)
+let test_sparse_full_is_smaller () =
+  let cm = cm_of_cells ~n:cm_cells (Array.make_matrix cm_rows cm_width 1) in
+  let dense = Wire.Codec.header_size + 8 + (16 * cm_rows) + 8 + (8 * cm_cells) in
+  let got = Bytes.length (Wire.Countmin.encode cm) in
+  if got >= dense then Alcotest.failf "sparse %d bytes >= dense %d" got dense
+
+(* Hand-built kind-19 payloads: a valid header, then the body under test. *)
+let sparse_blob body =
+  Wire.Codec.encode ~kind:Wire.Codec.countmin_sparse_kind (fun b ->
+      Wire.Codec.u32 b cm_rows;
+      Wire.Codec.u32 b cm_width;
+      Array.iter
+        (fun (a, c) ->
+          Wire.Codec.int_ b a;
+          Wire.Codec.int_ b c)
+        (Option.get (Hashing.Family.coefficients cm_family));
+      Wire.Codec.int_ b 7;
+      body b)
+
+let expect_corrupt what blob =
+  match Wire.Countmin.decode blob with
+  | Error (Wire.Codec.Corrupt _) -> ()
+  | Error e ->
+      Alcotest.failf "%s: expected Corrupt, got %s" what (Wire.Codec.error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: decoded" what
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+let test_sparse_malformed () =
+  let v = Wire.Codec.uvarint in
+  (match Wire.Countmin.decode (sparse_blob (fun b -> v b 1; v b 5; v b 3)) with
+  | Ok cm ->
+      Alcotest.(check int) "hand-built blob decodes" 3
+        (Sketches.Countmin.cell cm ~row:0 ~col:5)
+  | Error e -> Alcotest.fail (Wire.Codec.error_to_string e));
+  expect_corrupt "index = rows*width"
+    (sparse_blob (fun b -> v b 1; v b cm_cells; v b 1));
+  expect_corrupt "second index past the end"
+    (sparse_blob (fun b -> v b 2; v b 0; v b 1; v b (cm_cells - 1); v b 1));
+  expect_corrupt "gap of max_int" (sparse_blob (fun b -> v b 2; v b 3; v b 1; v b max_int; v b 1));
+  expect_corrupt "zero value" (sparse_blob (fun b -> v b 1; v b 4; v b 0));
+  expect_corrupt "nnz > rows*width"
+    (sparse_blob (fun b -> v b (cm_cells + 1)));
+  expect_corrupt "varint past 62 bits"
+    (sparse_blob (fun b ->
+         v b 1;
+         v b 0;
+         Buffer.add_string b "\xff\xff\xff\xff\xff\xff\xff\xff\x40"));
+  expect_corrupt "varint with ten groups"
+    (sparse_blob (fun b ->
+         v b 1;
+         v b 0;
+         Buffer.add_string b "\x81\x80\x80\x80\x80\x80\x80\x80\x80\x00"));
+  expect_corrupt "overlong varint" (sparse_blob (fun b -> v b 1; v b 0; Buffer.add_string b "\x81\x00"));
+  (match Wire.Countmin.decode (sparse_blob (fun b -> v b 2; v b 0; v b 1)) with
+  | Error (Wire.Codec.Truncated _) -> ()
+  | _ -> Alcotest.fail "fewer pairs than nnz: expected Truncated");
+  (* A header claiming 2^34 cells is rejected before any allocation, in
+     either layout; the dense one has no cells behind it at all. *)
+  List.iter
+    (fun kind ->
+      expect_corrupt
+        (Printf.sprintf "kind %d claims 256 x 2^26 cells" kind)
+        (Wire.Codec.encode ~kind (fun b ->
+             Wire.Codec.u32 b 256;
+             Wire.Codec.u32 b (1 lsl 26);
+             for _ = 1 to 256 do
+               Wire.Codec.int_ b 1;
+               Wire.Codec.int_ b 0
+             done;
+             Wire.Codec.int_ b 0;
+             if kind = Wire.Codec.countmin_sparse_kind then v b 0)))
+    [ Wire.Codec.countmin_sparse_kind; Wire.Codec.countmin_kind ]
+
+let test_uvarint_roundtrip () =
+  List.iter
+    (fun x ->
+      let b = Buffer.create 16 in
+      Wire.Codec.uvarint b x;
+      let blob = Wire.Codec.encode ~kind:Wire.Codec.wal_record_kind (fun w -> Buffer.add_buffer w b) in
+      match
+        Wire.Codec.decode ~kind:Wire.Codec.wal_record_kind Wire.Codec.read_uvarint blob
+      with
+      | Ok y -> Alcotest.(check int) (Printf.sprintf "%d round-trips" x) x y
+      | Error e -> Alcotest.fail (Wire.Codec.error_to_string e))
+    [ 0; 1; 127; 128; 300; 16_383; 16_384; 1 lsl 35; max_int - 1; max_int ]
+
+(* ------------------------- legacy dense images ------------------------- *)
+
+(* Fixtures written by the dense (kind 1) encoder, which every WAL segment
+   and checkpoint from before the sparse codec holds. *)
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Bytes.of_string s
+
+let test_legacy_blob () =
+  let blob = read_file "data/countmin_v1.blob" in
+  (match Wire.Codec.peek blob with
+  | Ok (kind, _) -> Alcotest.(check string) "fixture kind" "countmin" kind
+  | Error e -> Alcotest.fail (Wire.Codec.error_to_string e));
+  match Wire.Countmin.decode blob with
+  | Ok cm ->
+      Alcotest.(check bool) "same sketch" true (cm_equal cm (cm_of sample));
+      Alcotest.(check bytes) "re-encodes sparse" (Wire.Countmin.encode (cm_of sample))
+        (Wire.Countmin.encode cm)
+  | Error e -> Alcotest.fail (Wire.Codec.error_to_string e)
+
+module Cm_target = Pipeline.Targets.Countmin (struct
+  let seed = seed
+  let rows = 3
+  let width = 32
+end)
+
+module Legacy_recovery = Durable.Recovery.Make (Cm_target)
+
+(* The fixture log: a checkpoint at epoch 2 (records 1-2 merged) and a
+   segment of records 1..5, each 20 keys. *)
+let fixture_keys e = List.init 20 (fun i -> ((e * 7) + (i * 13)) mod 50)
+
+let test_legacy_wal () =
+  match Legacy_recovery.recover ~dir:"data/wal_v1" () with
+  | Error e -> Alcotest.fail e
+  | Ok (cm, r) ->
+      Alcotest.(check int) "checkpoint epoch" 2 r.Legacy_recovery.checkpoint_epoch;
+      Alcotest.(check int) "replayed" 3 r.replayed;
+      Alcotest.(check int) "skipped" 2 r.skipped;
+      Alcotest.(check int) "decode failures" 0 r.decode_failures;
+      Alcotest.(check int) "bytes truncated" 0 r.bytes_truncated;
+      Alcotest.(check int) "epoch" 5 r.recovered_epoch;
+      Alcotest.(check int) "published" 100 r.recovered_published;
+      let want = cm_of (List.concat_map fixture_keys [ 1; 2; 3; 4; 5 ]) in
+      Alcotest.(check bool) "same state" true (cm_equal cm want)
+
 (* ------------------------- properties ------------------------- *)
 
 let qcheck_tests =
@@ -298,6 +498,8 @@ let qcheck_tests =
            ~count:60 elems c.roundtrips)
        codecs
     @ [
+        QCheck.Test.make ~name:"countmin-sparse round-trips any image"
+          ~count:200 cm_image_arb sparse_roundtrip;
         QCheck.Test.make ~name:"random bytes never raise" ~count:200
           QCheck.(string_of_size (Gen.int_range 0 64))
           (fun s ->
@@ -413,6 +615,17 @@ let () =
           Alcotest.test_case "future version" `Quick test_future_version;
           Alcotest.test_case "wrong kind" `Quick test_wrong_kind;
           Alcotest.test_case "trailing bytes" `Quick test_trailing_garbage;
+        ] );
+      ( "sparse",
+        [
+          Alcotest.test_case "canonical bytes" `Quick test_sparse_canonical;
+          Alcotest.test_case "full sketch smaller than dense" `Quick
+            test_sparse_full_is_smaller;
+          Alcotest.test_case "malformed payloads are Corrupt" `Quick
+            test_sparse_malformed;
+          Alcotest.test_case "uvarint round-trips" `Quick test_uvarint_roundtrip;
+          Alcotest.test_case "legacy dense blob decodes" `Quick test_legacy_blob;
+          Alcotest.test_case "legacy dense WAL recovers" `Quick test_legacy_wal;
         ] );
       ( "segment",
         [
