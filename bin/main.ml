@@ -1017,18 +1017,14 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
   let steal = queue_impl = `Lockfree in
   let p =
     P.create ~queue:queue_impl ~queue_capacity:queue_cap ~batch ~combine
-      ?on_tick ?on_merge
+      ~record:true ?on_tick ?on_merge
       ~checkpoint_every:(if wal_dir = None then 0 else checkpoint_every)
       ?on_checkpoint ?supervisor ~metrics:reg ~trace:tr ?tracer ~shards ()
   in
   let stop = Atomic.make false in
-  let reads = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
-        let tick () =
-          ignore (P.read_total p);
-          Atomic.incr reads
-        in
+        let tick () = ignore (P.read_total p) in
         while not (Atomic.get stop) do
           tick ();
           Unix.sleepf 0.0005
@@ -1046,7 +1042,7 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
       ~budget:
         (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:queue_cap ())
       ~envelope:(fun () ->
-        let st = P.stats p in
+        let st = P.counters p in
         let acc =
           Array.fold_left
             (fun a (s : P.shard_stats) -> a + s.enqueued - s.dropped)
@@ -1063,7 +1059,7 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
       (fun port ->
         mount_http ~what:"pipeline" ~reg ?tracer ~slo
           ~health:(fun () ->
-            let st = P.stats p in
+            let st = P.counters p in
             [
               ("published", string_of_int st.P.published);
               ("epoch", string_of_int st.P.epoch);
@@ -1107,8 +1103,8 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
   in
   Atomic.set stop true;
   Domain.join reader;
-  let { P.shards = sh; merges; published; epoch = _; merge_lag = _ } =
-    P.stats p
+  let { P.shards = sh; merges = _; published; epoch = _; merge_lag = _ } =
+    P.counters p
   in
   Printf.printf "ingested %d/%d items in %.3fs (%.2f Mops/s, incl. drain)\n"
     (Atomic.get accepted) ops dt
@@ -1123,9 +1119,13 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
         (pp_int_list (Conc.Chaos.killed ch))
         (pp_int_list (P.dead p))
   | None -> ());
-  let viols = Mono.violations (P.history p) in
+  let h = P.history p in
+  let viols = Mono.violations h in
+  let updates = List.length (List.filter Hist.Op.is_update (Hist.History.ops h)) in
   Printf.printf "envelope: %d merge updates + %d reads checked, %d violations\n"
-    merges (Atomic.get reads) (List.length viols);
+    updates
+    (List.length (Hist.History.ops h) - updates)
+    (List.length viols);
   let slo_v = Obs.Slo.eval slo in
   Printf.printf "slo: %s at drain (worst %s at %.2fx budget, %d breaches)\n"
     (Obs.Slo.state_to_string slo_v.Obs.Slo.state)
@@ -2250,12 +2250,11 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
         host (Srv.port srv) shards batch max_conns
         (match wal_dir with Some d -> " wal=" ^ d | None -> "");
       let slo =
-        let stats () = Srv.P.stats (Srv.engine srv) in
         Obs.Slo.create ~metrics:reg
           ~budget:
             (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:1024 ())
           ~envelope:(fun () ->
-            let st = stats () in
+            let st = Srv.P.counters (Srv.engine srv) in
             let enq =
               Array.fold_left
                 (fun a (s : Srv.P.shard_stats) -> a + s.enqueued - s.dropped)
@@ -2273,7 +2272,7 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
             mount_http ~what:"serve" ~reg ?tracer ~slo
               ~health:(fun () ->
                 let st = Srv.stats srv in
-                let est = Srv.P.stats (Srv.engine srv) in
+                let est = Srv.P.counters (Srv.engine srv) in
                 [
                   ("conns", string_of_int st.Srv.conns);
                   ("published", string_of_int est.Srv.P.published);
@@ -2292,7 +2291,7 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
       let st = Srv.stop srv in
       Option.iter Obs.Http.stop http;
       (match !wal with Some w -> Durable.Wal.close w | None -> ());
-      let est = Srv.P.stats (Srv.engine srv) in
+      let est = Srv.P.counters (Srv.engine srv) in
       Printf.printf
         "serve: %d conns (%d subscribers), %d frames in, %d frames out, %d \
          decode errors\n"

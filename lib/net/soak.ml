@@ -226,7 +226,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
              replica against the previous incarnation's stale final *)
           let st = Srv.stop srv in
           Durable.Wal.close wal;
-          let est = Srv.P.stats (Srv.engine srv) in
+          let est = Srv.P.counters (Srv.engine srv) in
           (* in-incarnation conservation: what drained is what was accepted *)
           if est.Srv.P.published <> base + st.Srv.ingested then
             incr conservation_failures;
@@ -267,7 +267,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
       Mutex.lock sm;
       let p =
         match !cur with
-        | Some inc -> (Srv.P.stats (Srv.engine inc.srv)).Srv.P.published
+        | Some inc -> (Srv.P.counters (Srv.engine inc.srv)).Srv.P.published
         | None -> !last_final
       in
       Mutex.unlock sm;
@@ -291,7 +291,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
             match !cur with
             | None -> -1.0
             | Some inc ->
-                let st = Srv.P.stats (Srv.engine inc.srv) in
+                let st = Srv.P.counters (Srv.engine inc.srv) in
                 let accepted =
                   Array.fold_left
                     (fun a (s : Srv.P.shard_stats) ->

@@ -104,7 +104,7 @@ module Make (M : Mergeable.S) = struct
     lag_timer : Obs.Timer.t option; (* merge-lag quantiles, observed per merge *)
     trace : Obs.Trace.t option; (* lanes: worker i -> i, merger -> n, watchdog -> n+1 *)
     tracer : Obs.Tracer.t option; (* span sink for queue/merge stages *)
-    rec_ : (int, int, int) Conc.Recorder.t;
+    rec_ : (int, int, int) Conc.Recorder.t option; (* [create ~record:true] *)
     mutable workers : unit Domain.t array;
     mutable merger : unit Domain.t option;
     mutable watchdog : unit Domain.t option;
@@ -168,9 +168,8 @@ module Make (M : Mergeable.S) = struct
     let s = t.shards.(i) in
     let n_shards = Array.length t.shards in
     (* Worker-private pop buffer: both local pops and steals land here, so
-       the steady-state consume path allocates nothing (the ring's
-       [try_pop_into] is allocation-free; the mutex queue only boxes on
-       the push side). *)
+       the steady-state consume path allocates nothing (both queues'
+       [_into] pops are allocation-free). *)
     let buf = Array.make t.batch 0 in
     let local = ref (M.create ()) in
     let count = ref 0 in
@@ -352,16 +351,20 @@ module Make (M : Mergeable.S) = struct
       | Some d ->
           let stamped = ref 0 in
           let lag = ref 0.0 in
-          Conc.Recorder.record_update t.rec_ ~domain:dom ~obj:0 d.weight
-            (fun () ->
-              Mutex.lock t.gm;
-              t.global <- M.merge t.global d.sketch;
-              t.epoch <- t.epoch + 1;
-              t.published <- t.published + d.weight;
-              lag := Unix.gettimeofday () -. d.born;
-              push_lag t !lag;
-              stamped := t.epoch;
-              Mutex.unlock t.gm);
+          let fold () =
+            Mutex.lock t.gm;
+            t.global <- M.merge t.global d.sketch;
+            t.epoch <- t.epoch + 1;
+            t.published <- t.published + d.weight;
+            lag := Unix.gettimeofday () -. d.born;
+            push_lag t !lag;
+            stamped := t.epoch;
+            Mutex.unlock t.gm
+          in
+          (match t.rec_ with
+          | Some r ->
+              Conc.Recorder.record_update r ~domain:dom ~obj:0 d.weight fold
+          | None -> fold ());
           ignore (Atomic.fetch_and_add t.merges 1);
           (match t.lag_timer with
           | Some tm -> Obs.Timer.observe tm !lag
@@ -572,8 +575,8 @@ module Make (M : Mergeable.S) = struct
       t.shards
 
   let create ?(queue = `Mutex) ?steal ?(queue_capacity = 1024) ?(batch = 512)
-      ?(combine = false) ?on_tick ?on_merge ?(checkpoint_every = 0)
-      ?on_checkpoint ?supervisor ?metrics ?trace ?tracer ?initial ~shards () =
+      ?(combine = false) ?(record = false) ?on_tick ?on_merge
+      ?(checkpoint_every = 0) ?on_checkpoint ?supervisor ?metrics ?trace ?tracer ?initial ~shards () =
     (* Stealing defaults on exactly when the lock-free ring is selected:
        the ring's multi-consumer pops make steals cheap, and without them
        a skewed trace pins one shard while the others spin empty. *)
@@ -653,7 +656,9 @@ module Make (M : Mergeable.S) = struct
             metrics;
         trace;
         tracer;
-        rec_ = Conc.Recorder.create ~domains:(shards + 2);
+        rec_ =
+          (if record then Some (Conc.Recorder.create ~domains:(shards + 2))
+           else None);
         workers = [||];
         merger = None;
         watchdog = None;
@@ -677,9 +682,11 @@ module Make (M : Mergeable.S) = struct
         t.global <- g0;
         t.epoch <- epoch0;
         t.published <- published0;
-        if published0 > 0 then
-          Conc.Recorder.record_update t.rec_ ~domain:shards ~obj:0 published0
-            (fun () -> ()));
+        match t.rec_ with
+        | Some r when published0 > 0 ->
+            Conc.Recorder.record_update r ~domain:shards ~obj:0 published0
+              (fun () -> ())
+        | _ -> ());
     (match metrics with Some reg -> register_metrics t reg | None -> ());
     t.workers <- Array.init shards (fun i -> Domain.spawn (fun () -> worker t i));
     t.merger <- Some (Domain.spawn (fun () -> merger t));
@@ -706,6 +713,56 @@ module Make (M : Mergeable.S) = struct
       ignore (Atomic.fetch_and_add s.dropped 1);
       false
     end
+
+  (* Per-domain partition scratch for [ingest_many], grown on demand and
+     never shrunk: a handler domain serving frames of up to [n] keys over
+     [k] shards keeps one [n]-slot key array and one [k + 1]-slot offset
+     array, so a steady stream of frames allocates nothing. *)
+  type scratch = {
+    mutable keys : int array; (* the frame, grouped by shard *)
+    mutable ends : int array; (* group offsets, see [ingest_many] *)
+  }
+
+  let scratch_key = Domain.DLS.new_key (fun () -> { keys = [||]; ends = [||] })
+
+  let ingest_many t xs =
+    let n = Array.length xs and k = shard_count t in
+    let sc = Domain.DLS.get scratch_key in
+    if Array.length sc.keys < n then sc.keys <- Array.make n 0;
+    if Array.length sc.ends < k + 1 then sc.ends <- Array.make (k + 1) 0;
+    let keys = sc.keys and ends = sc.ends in
+    (* Counting sort by shard, stable, so each shard sees the frame's keys
+       in frame order — the FIFO a per-key loop would give it. After the
+       prefix sum [ends.(j)] is where group [j] starts; placing a key
+       advances it, so afterwards it is where group [j] ends. *)
+    Array.fill ends 0 (k + 1) 0;
+    for i = 0 to n - 1 do
+      let j = shard_of t (Array.unsafe_get xs i) + 1 in
+      ends.(j) <- ends.(j) + 1
+    done;
+    for j = 1 to k do
+      ends.(j) <- ends.(j) + ends.(j - 1)
+    done;
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get xs i in
+      let j = shard_of t x in
+      keys.(ends.(j)) <- x;
+      ends.(j) <- ends.(j) + 1
+    done;
+    let accepted = ref 0 and pos = ref 0 in
+    for j = 0 to k - 1 do
+      let len = ends.(j) - !pos in
+      if len > 0 then begin
+        let s = t.shards.(j) in
+        note_depth s;
+        let ok = Squeue.push_many s.q keys ~pos:!pos ~len in
+        if ok > 0 then ignore (Atomic.fetch_and_add s.enqueued ok);
+        if ok < len then ignore (Atomic.fetch_and_add s.dropped (len - ok));
+        accepted := !accepted + ok
+      end;
+      pos := ends.(j)
+    done;
+    !accepted
 
   (* Mark one key's shard as carrying a sampled trace context: the worker's
      next flush claims the mark and records the queue-residency span. Call
@@ -766,12 +823,16 @@ module Make (M : Mergeable.S) = struct
     (blob, e, p)
 
   let read_total t =
-    Conc.Recorder.record_query t.rec_ ~domain:(shard_count t + 1) ~obj:0 0
-      (fun () ->
-        Mutex.lock t.gm;
-        let v = t.published in
-        Mutex.unlock t.gm;
-        v)
+    let read () =
+      Mutex.lock t.gm;
+      let v = t.published in
+      Mutex.unlock t.gm;
+      v
+    in
+    match t.rec_ with
+    | Some r ->
+        Conc.Recorder.record_query r ~domain:(shard_count t + 1) ~obj:0 0 read
+    | None -> read ()
 
   let epoch t =
     Mutex.lock t.gm;
@@ -791,13 +852,18 @@ module Make (M : Mergeable.S) = struct
     Mutex.unlock t.gm;
     v
 
-  let stats t =
+  (* [lags] decides whether the merge-lag history is copied: the one
+     O(merges) part of a stats read, taken under [gm] with epoch and
+     published so the merger block stays consistent. *)
+  let read_stats t ~lags =
     Mutex.lock t.gm;
     let epoch = t.epoch and published = t.published in
-    let n = min t.lag_count (Float.Array.length t.lags) in
-    let first = t.lag_count - n and mask = Float.Array.length t.lags - 1 in
     let merge_lag =
-      Array.init n (fun j -> Float.Array.get t.lags ((first + j) land mask))
+      if not lags then [||]
+      else
+        let n = min t.lag_count (Float.Array.length t.lags) in
+        let first = t.lag_count - n and mask = Float.Array.length t.lags - 1 in
+        Array.init n (fun j -> Float.Array.get t.lags ((first + j) land mask))
     in
     Mutex.unlock t.gm;
     {
@@ -828,6 +894,9 @@ module Make (M : Mergeable.S) = struct
       merge_lag;
     }
 
+  let stats t = read_stats t ~lags:true
+  let counters t = read_stats t ~lags:false
+
   let dead t =
     Array.to_list t.shards
     |> List.mapi (fun i (s : shard) -> (i, Atomic.get s.alive))
@@ -846,5 +915,11 @@ module Make (M : Mergeable.S) = struct
     | Some e -> ("merger", e) :: worker_fails
     | None -> worker_fails
 
-  let history t = Conc.Recorder.history t.rec_
+  let history t =
+    match t.rec_ with
+    | Some r -> Conc.Recorder.history r
+    | None ->
+        invalid_arg
+          "Engine.history: this engine was created without ~record:true and \
+           kept no history"
 end

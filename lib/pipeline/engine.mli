@@ -23,10 +23,10 @@
     made inside the process unless [on_merge] consumes them: then the
     worker encodes each delta once, before shipping it. A query therefore
     sees a snapshot: some prefix of merges, never a torn delta — the merged counter
-    of published weights is IVL by construction, and the recorded history
-    ({!Make.history}: one update op per merge, one query op per
-    {!Make.read_total}) lets {!Ivl.Monotone} verify that end-to-end on real
-    executions.
+    of published weights is IVL by construction, and the history an
+    engine created with [~record:true] keeps ({!Make.history}: one update
+    op per merge, one query op per {!Make.read_total}) lets
+    {!Ivl.Monotone} verify that end-to-end on real executions.
 
     Freshness is the price: items buffered in queues or unshipped deltas are
     invisible to queries until merged, so a smaller [batch] tightens the IVL
@@ -109,6 +109,7 @@ module Make (M : Mergeable.S) : sig
     ?queue_capacity:int ->
     ?batch:int ->
     ?combine:bool ->
+    ?record:bool ->
     ?on_tick:(shard:int -> unit) ->
     ?on_merge:
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit) ->
@@ -155,6 +156,12 @@ module Make (M : Mergeable.S) : sig
       Counter) and summary-equivalent for the rest; flush cadence, deltas,
       and the IVL envelope are unchanged. Savings are reported per shard
       as {!shard_stats.coalesced}.
+
+      [record] (default [false]) keeps the merge/read history that
+      {!history} returns: two events per merge and per {!read_total},
+      held until the engine is dropped. Only a caller that checks that
+      history ([Ivl.Monotone]) should ask for it — a long-running engine
+      that records grows without bound.
 
       [on_merge ~ctx ~epoch ~weight ~blob] runs in the merger's domain after
       each merge, in strict epoch order, outside the query mutex — the WAL
@@ -223,6 +230,17 @@ module Make (M : Mergeable.S) : sig
       worker is dead, or the pipeline is drained. Any number of domains may
       ingest concurrently. *)
 
+  val ingest_many : t -> int array -> int
+  (** {!ingest} for a whole frame: group the keys by shard (stably, so each
+      shard receives them in frame order) and push each group with one
+      blocking {!Squeue.push_many} — for the mutex queue one lock
+      acquisition and one [enqueued]/[dropped] update per shard instead of
+      per key. Returns how many keys were accepted; the rest were dropped
+      (dead worker or drained pipeline) and counted. Frames of any size
+      are accepted under backpressure, including ones larger than
+      [queue_capacity]. Partitions into per-domain scratch, so steady
+      ingest allocates nothing. *)
+
   val try_ingest : t -> int -> bool
   (** Non-blocking variant: a full queue is an immediate drop (counted). *)
 
@@ -257,8 +275,9 @@ module Make (M : Mergeable.S) : sig
 
   val read_total : t -> int
   (** Total published weight (stream items merged so far), recorded into the
-      pipeline's history as a query op for the envelope checker. At most one
-      domain may call this (the recorder gives the reader one buffer). *)
+      pipeline's history as a query op for the envelope checker when the
+      engine records. On a recording engine at most one domain may call
+      this (the recorder gives the reader one buffer). *)
 
   val epoch : t -> int
 
@@ -266,7 +285,13 @@ module Make (M : Mergeable.S) : sig
   (** Callable mid-run (racy per-shard counters, consistent merger block) or
       after {!drain} (exact). Copies the merge-lag history under the merge
       mutex: O(merges) up to 2{^20}, so pollers that need only the latest
-      lag use {!last_merge_lag}. *)
+      lag use {!last_merge_lag}, and pollers that need only counters use
+      {!counters}. *)
+
+  val counters : t -> stats
+  (** {!stats} without the merge-lag copy: every counter the same, but
+      [merge_lag] is always [[||]]. O(shards) — the call for SLO callbacks,
+      health endpoints and catch-up polls. *)
 
   val last_merge_lag : t -> float option
   (** The newest merge's lag in seconds — the last element of
@@ -282,5 +307,8 @@ module Make (M : Mergeable.S) : sig
   val history : t -> (int, int, int) Hist.History.t
   (** The recorded merge/read history — feed to
       [Ivl.Monotone.Make (Spec.Counter_spec)]. Call after {!drain} and after
-      the reading domain has quiesced. *)
+      the reading domain has quiesced.
+      @raise Invalid_argument if the engine was created without
+      [~record:true]: it kept no history, and an empty one would pass any
+      check. *)
 end

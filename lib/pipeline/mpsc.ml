@@ -1,5 +1,10 @@
+(* Slots hold values unboxed: an ['a option] slot costs a [Some] block per
+   push, and a block still queued at a minor collection is promoted to the
+   major heap. Empty slots hold [dummy] instead (as {!Ring}'s do), so a
+   popped value is not retained. *)
 type 'a t = {
-  buf : 'a option array;
+  buf : 'a array;
+  dummy : 'a;
   capacity : int;
   mutable head : int; (* index of the next element to pop *)
   mutable len : int;
@@ -11,8 +16,10 @@ type 'a t = {
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Mpsc.create: capacity must be positive";
+  let dummy : 'a = Obj.magic () in
   {
-    buf = Array.make capacity None;
+    buf = Array.make capacity dummy;
+    dummy;
     capacity;
     head = 0;
     len = 0;
@@ -23,7 +30,7 @@ let create ~capacity =
   }
 
 let unsafe_put t x =
-  t.buf.((t.head + t.len) mod t.capacity) <- Some x;
+  t.buf.((t.head + t.len) mod t.capacity) <- x;
   t.len <- t.len + 1
 
 let push t x =
@@ -43,6 +50,29 @@ let push t x =
   let ok = go () in
   Mutex.unlock t.m;
   ok
+
+(* One lock for a whole span: fill what room there is, signal the consumer
+   once per chunk, and wait on [not_full] only when the queue is full — a
+   span longer than the capacity goes in over several chunks without
+   dropping the lock in between chunks that fit. *)
+let push_many t src ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length src - len then
+    invalid_arg "Mpsc.push_many: span out of bounds";
+  Mutex.lock t.m;
+  let i = ref 0 in
+  while !i < len && not t.closed do
+    if t.len = t.capacity then Condition.wait t.not_full t.m
+    else begin
+      let k = min (len - !i) (t.capacity - t.len) in
+      for j = pos + !i to pos + !i + k - 1 do
+        unsafe_put t (Array.unsafe_get src j)
+      done;
+      i := !i + k;
+      Condition.signal t.not_empty
+    end
+  done;
+  Mutex.unlock t.m;
+  !i
 
 let try_push t x =
   Mutex.lock t.m;
@@ -67,10 +97,8 @@ let pop_batch t ~max =
   let n = min max t.len in
   let items = ref [] in
   for _ = 1 to n do
-    (match t.buf.(t.head) with
-    | Some x -> items := x :: !items
-    | None -> assert false);
-    t.buf.(t.head) <- None;
+    items := t.buf.(t.head) :: !items;
+    t.buf.(t.head) <- t.dummy;
     t.head <- (t.head + 1) mod t.capacity;
     t.len <- t.len - 1
   done;
@@ -88,10 +116,8 @@ let pop t = match pop_batch t ~max:1 with [] -> None | x :: _ -> Some x
 
 let unsafe_take_into t buf n =
   for j = 0 to n - 1 do
-    (match t.buf.(t.head) with
-    | Some x -> buf.(j) <- x
-    | None -> assert false);
-    t.buf.(t.head) <- None;
+    buf.(j) <- t.buf.(t.head);
+    t.buf.(t.head) <- t.dummy;
     t.head <- (t.head + 1) mod t.capacity;
     t.len <- t.len - 1
   done;
@@ -138,7 +164,7 @@ let drain_remaining t =
   Mutex.lock t.m;
   let n = t.len in
   for _ = 1 to n do
-    t.buf.(t.head) <- None;
+    t.buf.(t.head) <- t.dummy;
     t.head <- (t.head + 1) mod t.capacity;
     t.len <- t.len - 1
   done;

@@ -23,6 +23,15 @@ val push : 'a t -> 'a -> bool
 (** Block while full; [false] iff the queue is (or becomes) closed — the
     element was not enqueued. *)
 
+val push_many : 'a t -> 'a array -> pos:int -> len:int -> int
+(** [push_many t src ~pos ~len] pushes [src.(pos .. pos+len-1)] in order
+    under one lock acquisition, blocking while full exactly like {!push}
+    (the lock is released only while waiting for room) and signalling the
+    consumer once per chunk. Returns how many were enqueued: [len], or
+    fewer iff the queue is (or becomes) closed part-way — the rest were
+    not enqueued.
+    @raise Invalid_argument if the span is out of [src]'s bounds. *)
+
 val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 (** Non-blocking push. *)
 

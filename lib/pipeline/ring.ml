@@ -184,6 +184,17 @@ let rec push_loop t x spins =
 
 let push t x = if Atomic.get t.closed then false else push_loop t x 0
 
+(* The ring has no lock to amortize: a span is a loop of {!push}. *)
+let rec push_from t src pos len i =
+  if i < len && push t (Array.unsafe_get src (pos + i)) then
+    push_from t src pos len (i + 1)
+  else i
+
+let push_many t src ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length src - len then
+    invalid_arg "Ring.push_many: span out of bounds";
+  push_from t src pos len 0
+
 (* Count the contiguous run of already-published positions starting at
    [head]: claiming only that run means the copy loop after a winning CAS
    never has to await a producer mid-publish — on an oversubscribed host a

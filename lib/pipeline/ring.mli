@@ -30,6 +30,11 @@ val push : 'a t -> 'a -> bool
 (** Spin-then-park while full; [false] iff the queue is (or becomes)
     closed — the element was not enqueued. Any number of producers. *)
 
+val push_many : 'a t -> 'a array -> pos:int -> len:int -> int
+(** {!push} of [src.(pos .. pos+len-1)] in order; returns how many were
+    enqueued ([len], or fewer iff the queue is or becomes closed).
+    @raise Invalid_argument if the span is out of [src]'s bounds. *)
+
 val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 (** Non-blocking, lock-free, allocation-free. [`Full] may be transient
     (a claimed-but-not-yet-recycled slot): callers that must enqueue use

@@ -32,6 +32,11 @@ let impl = function Mutex _ -> `Mutex | Lockfree _ -> `Lockfree
 let push t x =
   match t with Mutex q -> Mpsc.push q x | Lockfree q -> Ring.push q x
 
+let push_many t src ~pos ~len =
+  match t with
+  | Mutex q -> Mpsc.push_many q src ~pos ~len
+  | Lockfree q -> Ring.push_many q src ~pos ~len
+
 let try_push t x =
   match t with Mutex q -> Mpsc.try_push q x | Lockfree q -> Ring.try_push q x
 

@@ -26,6 +26,14 @@ val impl_of_string : string -> impl option
 val impl_to_string : impl -> string
 
 val push : 'a t -> 'a -> bool
+
+val push_many : 'a t -> 'a array -> pos:int -> len:int -> int
+(** Blocking push of [src.(pos .. pos+len-1)] in order; returns how many
+    were enqueued ([len], or fewer iff the queue is or becomes closed).
+    [`Mutex] takes the lock once for the span; [`Lockfree] loops
+    {!Ring.push}.
+    @raise Invalid_argument if the span is out of [src]'s bounds. *)
+
 val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 val pop : 'a t -> 'a option
 val pop_batch : 'a t -> max:int -> 'a list

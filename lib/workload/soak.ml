@@ -80,6 +80,7 @@ type round_report = {
   accepted : int;
   shed : int;
   monotone_violations : int;
+  history_ops : int;
   reader_regressions : int;
   conservation_failures : int;
   epoch_regressions : int;
@@ -235,6 +236,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
     let base = rec_pub in
     let eng =
       P.create ~queue:c.queue ~queue_capacity:c.queue_capacity ~batch:c.batch
+        ~record:true
         ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
         ~on_merge:(fun ~ctx:_ ~epoch ~weight ~blob ->
           Durable.Wal.append wal ~epoch ~weight ~blob)
@@ -258,7 +260,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
             last := v;
             incr n;
             if !n land 7 = 0 then begin
-              let st = P.stats eng in
+              let st = P.counters eng in
               let enq =
                 Array.fold_left
                   (fun a (s : P.shard_stats) -> a + s.enqueued)
@@ -306,7 +308,9 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
       Array.fold_left (fun a (s : P.shard_stats) -> a + s.restarts) 0 st.shards
     in
     let conservation_failures = if st.published - base <> flushed then 1 else 0 in
-    let monotone_violations = List.length (Mono.violations (P.history eng)) in
+    let history = P.history eng in
+    let history_ops = List.length (Hist.History.ops history) in
+    let monotone_violations = List.length (Mono.violations history) in
     let unexpected_failures = List.length (P.failures eng) in
     let otot = oracle_totals () in
     let accepted_so_far = Array.fold_left ( + ) 0 otot in
@@ -342,6 +346,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
         accepted = driver.Driver.accepted;
         shed = driver.Driver.shed;
         monotone_violations;
+        history_ops;
         reader_regressions = !reader_regressions;
         conservation_failures;
         epoch_regressions = epoch_regress;
@@ -390,6 +395,8 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
     (fun (r : round_report) ->
       if r.monotone_violations > 0 then
         add "round %d: %d IVL monotone violations" r.round r.monotone_violations;
+      if r.history_ops = 0 then
+        add "round %d: empty history, the IVL check saw nothing" r.round;
       if r.reader_regressions > 0 then
         add "round %d: published total went backwards %d times" r.round
           r.reader_regressions;

@@ -70,6 +70,8 @@ type round_report = {
   accepted : int;
   shed : int;
   monotone_violations : int;  (** {!Ivl.Monotone} violations in the history *)
+  history_ops : int;
+      (** operations in the checked history; a round with none fails *)
   reader_regressions : int;  (** published total observed going backwards *)
   conservation_failures : int;  (** published ≠ flushed weight *)
   epoch_regressions : int;  (** recovery outside its envelope *)

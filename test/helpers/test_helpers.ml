@@ -79,3 +79,24 @@ let gen_counter_history seed =
     ~mk_op:(fun g ~proc ~id ->
       if Rng.Splitmix.next_bool g then upd ~proc ~id (Rng.Splitmix.next_int g 4)
       else qry ~proc ~ret:(Rng.Splitmix.next_int g 8) ~id 0)
+
+(* A mergeable sketch (the pipeline's [Mergeable.S], matched structurally)
+   that keeps every key it absorbed, so a test can read back what an engine
+   folded and in which order. Stored newest first; [merge a b]
+   is "a, then b". *)
+module Bag = struct
+  type t = int list ref
+
+  let name = "bag"
+  let create () = ref []
+  let update t x = t := x :: !t
+
+  let update_many t x ~count =
+    for _ = 1 to count do
+      update t x
+    done
+
+  let merge a b = ref (!b @ !a)
+  let encode t = Bytes.of_string (Marshal.to_string !t [])
+  let decode b = Ok (ref (Marshal.from_bytes b 0))
+end

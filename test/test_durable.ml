@@ -534,7 +534,7 @@ let test_fault_window_restart_in_envelope () =
             ~domains:2
         in
         let p =
-          P.create ~shards:2 ~batch:8 ~queue_capacity:64
+          P.create ~record:true ~shards:2 ~batch:8 ~queue_capacity:64
             ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
             ~supervisor:Pipeline.Engine.default_supervisor
             ~initial:(g, rep.R.recovered_epoch, rec_pub)

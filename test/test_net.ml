@@ -483,6 +483,112 @@ let test_client_dead_server () =
   check_bool "errors counted" true (cs.Net.Client.errors > 0);
   check_bool "push after close is refused" true (not (Net.Client.push cli 1))
 
+(* Keys leave the client buffer in push order, through flush and close,
+   with a [queue] that is not a multiple of the batch. One sender
+   connection into a one-shard engine that keeps its keys shows the order
+   the server got. *)
+module SrvBag = Net.Server.Make (Test_helpers.Bag)
+
+let test_client_buffer_fifo () =
+  let srv =
+    SrvBag.create ~eval:(fun _ _ -> None)
+      ~make_engine:(fun ~on_merge -> SrvBag.P.create ~shards:1 ~batch:4 ~on_merge ())
+      ()
+  in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:3 ~queue:5 ~host:"127.0.0.1"
+      ~port:(SrvBag.port srv) ()
+  in
+  let n = 500 in
+  for i = 1 to n do
+    check_bool "push accepted" true (Net.Client.push cli i)
+  done;
+  Net.Client.flush cli;
+  check_int "flush drained the buffer" 0 (Net.Client.stats cli).Net.Client.queued;
+  for i = n + 1 to n + 7 do
+    ignore (Net.Client.push cli i)
+  done;
+  Net.Client.close cli;
+  let cs = Net.Client.stats cli in
+  check_int "close drained the buffer" 0 cs.Net.Client.queued;
+  check_int "every key acked" (n + 7) cs.Net.Client.acked;
+  ignore (SrvBag.stop srv);
+  let got, _ = SrvBag.P.query (SrvBag.engine srv) (fun g -> List.rev !g) in
+  check_bool "keys arrived in push order" true
+    (got = List.init (n + 7) (fun i -> i + 1))
+
+(* A listener that never accepts: the kernel completes the handshake, so a
+   sender's Hello goes out and its ack wait holds the sender (and its one
+   taken chunk) for [read_timeout]. The buffer behind it then fills to
+   exactly [queue] keys. *)
+let with_mute_listener f =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen s 8;
+  let port =
+    match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  Fun.protect ~finally:(fun () -> Unix.close s) (fun () -> f port)
+
+let wait_for ?(timeout = 5.0) f =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    f () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ()))
+  in
+  go ()
+
+(* Fill a stuck client's buffer: one chunk of [batch] goes in flight, then
+   [queue] keys wait behind it. *)
+let fill_stuck cli ~batch ~queue =
+  for i = 1 to batch do
+    ignore (Net.Client.push cli i)
+  done;
+  check_bool "sender took a chunk" true
+    (wait_for (fun () -> (Net.Client.stats cli).Net.Client.queued = 0));
+  for i = 1 to queue do
+    check_bool "room up to the cap" true (Net.Client.push cli (batch + i))
+  done;
+  check_int "buffer at its cap" queue (Net.Client.stats cli).Net.Client.queued
+
+let test_client_overflow_at_cap () =
+  with_mute_listener @@ fun port ->
+  let batch = 2 and queue = 5 in
+  let mk overflow =
+    Net.Client.create ~conns:1 ~batch ~queue ~flush_age:60.0 ~retries:0
+      ~read_timeout:0.2 ~overflow ~host:"127.0.0.1" ~port ()
+  in
+  (* Shed: the key past the cap is refused at once and counted. *)
+  let cli = mk Net.Client.Shed in
+  fill_stuck cli ~batch ~queue;
+  check_bool "push past the cap sheds" false (Net.Client.push cli 99);
+  check_bool "try_push past the cap sheds" false (Net.Client.try_push cli 99);
+  let cs = Net.Client.stats cli in
+  check_int "two sheds" 2 cs.Net.Client.shed;
+  check_int "still at the cap" queue cs.Net.Client.queued;
+  Net.Client.close cli;
+  check_int "close drained the buffer" 0 (Net.Client.stats cli).Net.Client.queued;
+  (* Block: the key past the cap waits until the stuck chunk times out and
+     the sender takes the next one, then goes in. *)
+  let cli = mk Net.Client.Block in
+  fill_stuck cli ~batch ~queue;
+  let returned = Atomic.make None in
+  let d =
+    Domain.spawn (fun () -> Atomic.set returned (Some (Net.Client.push cli 99)))
+  in
+  Unix.sleepf 0.05;
+  check_bool "push past the cap waits" true (Atomic.get returned = None);
+  check_bool "push went in once room freed" true
+    (wait_for (fun () -> Atomic.get returned = Some true));
+  Domain.join d;
+  check_bool "never above the cap" true
+    ((Net.Client.stats cli).Net.Client.queued <= queue);
+  Net.Client.close cli;
+  let cs = Net.Client.stats cli in
+  check_int "close drained the buffer" 0 cs.Net.Client.queued;
+  check_int "the mute peer exhausted every key" (batch + queue + 1)
+    cs.Net.Client.exhausted;
+  check_int "none shed at the buffer" cs.Net.Client.exhausted cs.Net.Client.shed
+
 (* Satellite: the driver's sink seam. The default engine sink and the
    client sink implement the same signature; a bare Sink.make fills the
    optional operations with safe defaults. *)
@@ -1245,6 +1351,10 @@ let () =
         [
           Alcotest.test_case "batched roundtrip" `Quick test_client_roundtrip;
           Alcotest.test_case "dead server sheds" `Quick test_client_dead_server;
+          Alcotest.test_case "buffer keeps push order" `Quick
+            test_client_buffer_fifo;
+          Alcotest.test_case "Block waits and Shed sheds at the cap" `Quick
+            test_client_overflow_at_cap;
           Alcotest.test_case "sink seam" `Quick test_sink_seam;
           Alcotest.test_case "tracing waterfall over loopback" `Quick
             test_trace_waterfall;

@@ -373,7 +373,7 @@ let test_envelope_gauge_bounds_read_error () =
   let reg = Obs.Registry.create () in
   (* batch > items per shard: deltas only flush at drain, so the scraper
      is guaranteed to observe a nonzero gap. *)
-  let p = PC.create ~queue_capacity:n ~batch:(n * 2) ~metrics:reg ~shards () in
+  let p = PC.create ~record:true ~queue_capacity:n ~batch:(n * 2) ~metrics:reg ~shards () in
   let accepted =
     Conc.Runner.parallel ~domains:feeders (fun i ->
         let ok = ref 0 in

@@ -94,6 +94,19 @@ let test_counter_conservation () =
   PC.drain p;
   Alcotest.(check int) "published stable" n (PC.read_total p)
 
+let test_history_needs_record () =
+  (* An engine that was not asked to record keeps no history, and says so
+     rather than handing an empty one to a checker that would pass it. *)
+  let p = PC.create ~queue_capacity:64 ~batch:8 ~shards:2 () in
+  Alcotest.(check int) "frame accepted" 100
+    (PC.ingest_many p (Array.init 100 Fun.id));
+  ignore (PC.read_total p);
+  PC.drain p;
+  Alcotest.(check int) "published" 100 (PC.read_total p);
+  match PC.history p with
+  | _ -> Alcotest.fail "history of a non-recording engine"
+  | exception Invalid_argument _ -> ()
+
 let test_history_envelope () =
   (* Concurrent reader sampling the published total mid-run: the recorded
      merge/read history must pass the monotone envelope check, and the
@@ -102,7 +115,7 @@ let test_history_envelope () =
   let stream =
     Workload.Stream.generate ~seed:5L (Workload.Stream.Zipf (500, 1.1)) ~length:n
   in
-  let p = PC.create ~queue_capacity:128 ~batch:64 ~shards:2 () in
+  let p = PC.create ~record:true ~queue_capacity:128 ~batch:64 ~shards:2 () in
   let stop = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
@@ -359,7 +372,7 @@ let test_chaos_kill_drain () =
       ~domains:shards
   in
   let p =
-    PC.create ~queue_capacity:64 ~batch:50
+    PC.create ~record:true ~queue_capacity:64 ~batch:50
       ~on_tick:(fun ~shard -> Conc.Chaos.point ch ~domain:shard)
       ~shards ()
   in
@@ -587,7 +600,7 @@ let test_supervisor_restarts_shard () =
   let die_at = 5 in
   let ticks = Atomic.make 0 in
   let pipeline =
-    PC.create ~queue_capacity:256 ~batch:32
+    PC.create ~record:true ~queue_capacity:256 ~batch:32
       ~on_tick:(fun ~shard ->
         (* The counter spans incarnations, so exactly the [die_at]-th tick
            kills — the restarted worker sees larger values and lives. *)
@@ -850,6 +863,162 @@ let test_q_mpsc_stress impl () =
   Domain.join closer;
   Alcotest.(check int) "popped everything exactly once" (producers * per) !count
 
+(* The engine's shard router (SplitMix64 finalizer) — replicated here so a
+   test can aim keys at a shard or read back what each shard received. *)
+let shard_of_key ~shards x =
+  let h = x * 0x1E3779B97F4A7C15 in
+  let h = (h lxor (h lsr 30)) * 0x3F58476D1CE4E5B9 in
+  (h lxor (h lsr 27)) land max_int mod shards
+
+module PB = Pipeline.Engine.Make (Test_helpers.Bag)
+
+(* ingest_many is the per-key ingest loop, a frame at a time: the same
+   keys reach the same shards in the same order, with the same counters,
+   and everything enqueued is flushed through drain. *)
+let ingest_many_matches_per_key impl =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 4) (int_range 1 40)
+        (list_size (int_range 1 8)
+           (array_size (int_range 0 200) (int_bound 999))))
+  in
+  let print (shards, cap, frames) =
+    Printf.sprintf "shards=%d cap=%d frames=[%s]" shards cap
+      (String.concat "; "
+         (List.map (fun f -> string_of_int (Array.length f)) frames))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20
+       ~name:(Sq.impl_to_string impl ^ ": ingest_many matches per-key ingest")
+       (QCheck.make ~print gen)
+       (fun (shards, cap, frames) ->
+         let run feed =
+           let p =
+             PB.create ~queue:impl ~steal:false ~queue_capacity:cap ~batch:7
+               ~shards ()
+           in
+           let accepted = List.fold_left (fun a f -> a + feed p f) 0 frames in
+           PB.drain p;
+           let bag, _ = PB.query p (fun g -> List.rev !g) in
+           (accepted, bag, PB.counters p)
+         in
+         let per_key p f =
+           Array.fold_left (fun a x -> if PB.ingest p x then a + 1 else a) 0 f
+         in
+         let a1, bag1, c1 = run per_key and a2, bag2, c2 = run PB.ingest_many in
+         let total = List.fold_left (fun a f -> a + Array.length f) 0 frames in
+         let on_shard j = List.filter (fun x -> shard_of_key ~shards x = j) in
+         let keys = List.concat_map Array.to_list frames in
+         let counters (c : PB.stats) =
+           Array.map
+             (fun (s : PB.shard_stats) ->
+               (s.enqueued, s.dropped, s.consumed, s.flushed_items))
+             c.PB.shards
+         in
+         let sum (c : PB.stats) f = Array.fold_left (fun a s -> a + f s) 0 c.PB.shards in
+         a1 = total && a2 = total
+         && counters c1 = counters c2
+         && List.for_all
+              (fun j ->
+                on_shard j bag2 = on_shard j keys && on_shard j bag1 = on_shard j keys)
+              (List.init shards Fun.id)
+         && sum c2 (fun (s : PB.shard_stats) -> s.flushed_items)
+            = sum c2 (fun (s : PB.shard_stats) -> s.enqueued)
+         && c2.PB.published = total))
+
+(* push_many: one span, FIFO, blocking through as many chunks as the
+   capacity needs, and an exact count when the queue closes part-way. *)
+
+let test_q_push_many_fifo impl () =
+  let q = Sq.create ~impl ~capacity:8 in
+  let src = [| 0; 1; 2; 3; 4; 5; 6 |] in
+  Alcotest.(check int) "whole span" 4 (Sq.push_many q src ~pos:2 ~len:4);
+  Alcotest.(check int) "empty span" 0 (Sq.push_many q src ~pos:7 ~len:0);
+  ignore (Sq.push q 9);
+  Alcotest.(check (list int)) "span in order, then the next push" [ 2; 3; 4; 5; 9 ]
+    (Sq.pop_batch q ~max:8);
+  Alcotest.check_raises "span past the end"
+    (Invalid_argument
+       (match impl with
+       | `Mutex -> "Mpsc.push_many: span out of bounds"
+       | `Lockfree -> "Ring.push_many: span out of bounds"))
+    (fun () -> ignore (Sq.push_many q src ~pos:5 ~len:3))
+
+let test_q_push_many_over_capacity impl () =
+  let n = 3_000 in
+  let q = Sq.create ~impl ~capacity:64 in
+  let consumer =
+    Domain.spawn (fun () ->
+        let buf = Array.make 50 0 and next = ref 0 and in_order = ref true in
+        while !next < n do
+          let k = Sq.pop_into q buf ~max:50 in
+          for j = 0 to k - 1 do
+            if buf.(j) <> !next then in_order := false;
+            incr next
+          done
+        done;
+        !in_order)
+  in
+  Alcotest.(check int) "every key pushed" n
+    (Sq.push_many q (Array.init n Fun.id) ~pos:0 ~len:n);
+  Alcotest.(check bool) "consumer saw them in order" true (Domain.join consumer)
+
+let test_q_push_many_close_partway impl () =
+  let cap = 4 in
+  let q = Sq.create ~impl ~capacity:cap in
+  let d = Domain.spawn (fun () -> Sq.push_many q (Array.init 10 Fun.id) ~pos:0 ~len:10) in
+  Alcotest.(check bool) "producer filled the queue" true
+    (wait_until (fun () -> Sq.length q = cap));
+  Sq.close q;
+  Alcotest.(check int) "count stops at the close" cap (Domain.join d);
+  Alcotest.(check (list int)) "what went in, in order" [ 0; 1; 2; 3 ]
+    (Sq.pop_batch q ~max:10)
+
+(* Engine.ingest_many over each queue implementation. *)
+
+let test_ingest_many_over_capacity impl () =
+  let n = 3_000 in
+  let p = PC.create ~queue:impl ~queue_capacity:64 ~batch:37 ~shards:2 () in
+  Alcotest.(check int) "frame accepted in full" n
+    (PC.ingest_many p (Array.init n (fun i -> i mod 977)));
+  PC.drain p;
+  Alcotest.(check int) "published" n (PC.read_total p);
+  Alcotest.(check bool) "no unexpected failures" true (PC.failures p = [])
+
+let test_ingest_many_close_partway impl () =
+  (* One shard whose worker is held in its first tick: a frame of 100 keys
+     fills the queue's 16 slots and blocks. Killing the worker closes the
+     queue, so exactly 16 keys are accepted and 84 dropped. *)
+  let cap = 16 and n = 100 in
+  let go = Atomic.make false in
+  let reg = Obs.Registry.create () in
+  let p =
+    PC.create ~queue:impl ~steal:false ~queue_capacity:cap ~batch:8 ~metrics:reg
+      ~on_tick:(fun ~shard ->
+        while not (Atomic.get go) do
+          Unix.sleepf 0.001
+        done;
+        raise (Conc.Chaos.Killed { domain = shard; point = 0 }))
+      ~shards:1 ()
+  in
+  let feeder = Domain.spawn (fun () -> PC.ingest_many p (Array.init n Fun.id)) in
+  let depth () =
+    Obs.Snapshot.gauge_value (Obs.Registry.snapshot reg)
+      ~labels:[ ("shard", "0") ] "pipeline_queue_depth"
+  in
+  Alcotest.(check bool) "frame blocked on a full queue" true
+    (wait_until (fun () -> depth () = float_of_int cap));
+  Atomic.set go true;
+  let accepted = Domain.join feeder in
+  let c = (PC.counters p).PC.shards.(0) in
+  Alcotest.(check int) "accepted up to the close" cap accepted;
+  Alcotest.(check int) "enqueued" cap c.enqueued;
+  Alcotest.(check int) "dropped" (n - cap) c.dropped;
+  PC.drain p;
+  Alcotest.(check int) "drain adds the dead shard's backlog to the drops" n
+    (PC.counters p).PC.shards.(0).dropped;
+  Alcotest.(check bool) "no unexpected failures" true (PC.failures p = [])
+
 let contract_suite impl =
   let n = Sq.impl_to_string impl in
   [
@@ -868,6 +1037,16 @@ let contract_suite impl =
       (test_q_close_wakes_all_producers impl);
     Alcotest.test_case (n ^ ": mpsc stress exact + per-source fifo") `Slow
       (test_q_mpsc_stress impl);
+    Alcotest.test_case (n ^ ": push_many fifo") `Quick (test_q_push_many_fifo impl);
+    Alcotest.test_case (n ^ ": push_many over capacity") `Quick
+      (test_q_push_many_over_capacity impl);
+    Alcotest.test_case (n ^ ": push_many closed part-way") `Quick
+      (test_q_push_many_close_partway impl);
+    Alcotest.test_case (n ^ ": ingest_many over capacity") `Quick
+      (test_ingest_many_over_capacity impl);
+    Alcotest.test_case (n ^ ": ingest_many closed part-way") `Quick
+      (test_ingest_many_close_partway impl);
+    ingest_many_matches_per_key impl;
   ]
 
 (* ------------------------- stealing ------------------------- *)
@@ -934,13 +1113,6 @@ let test_ring_concurrent_steal_exact () =
   Alcotest.(check int) "both consumers split the stream" (producers * per)
     (List.length owner + List.length stolen)
 
-(* The engine's shard router (SplitMix64 finalizer) — replicated here so a
-   test can aim every key at one shard and then watch the others steal. *)
-let shard_of_key ~shards x =
-  let h = x * 0x1E3779B97F4A7C15 in
-  let h = (h lxor (h lsr 30)) * 0x3F58476D1CE4E5B9 in
-  (h lxor (h lsr 27)) land max_int mod shards
-
 let test_engine_steal_exact () =
   (* Worst-case skew: every item is the same key, so hash routing pins the
      whole stream to one shard. With the lock-free queue + stealing, the
@@ -952,7 +1124,7 @@ let test_engine_steal_exact () =
   let hot = shard_of_key ~shards key in
   let n = 30_000 in
   let p =
-    PC.create ~queue:`Lockfree ~queue_capacity:256 ~batch:64
+    PC.create ~record:true ~queue:`Lockfree ~queue_capacity:256 ~batch:64
       ~on_tick:(fun ~shard -> if shard = hot then Unix.sleepf 0.0003)
       ~shards ()
   in
@@ -991,7 +1163,7 @@ let test_lockfree_conservation () =
   let stream =
     Workload.Stream.generate ~seed:3L (Workload.Stream.Uniform 1000) ~length:n
   in
-  let p = PC.create ~queue:`Lockfree ~queue_capacity:64 ~batch:37 ~shards:3 () in
+  let p = PC.create ~record:true ~queue:`Lockfree ~queue_capacity:64 ~batch:37 ~shards:3 () in
   let accepted = feed p stream ~feeders:2 in
   PC.drain p;
   Alcotest.(check int) "all accepted" n accepted;
@@ -1027,7 +1199,7 @@ let test_lockfree_chaos_kill_drain () =
       ~domains:shards
   in
   let p =
-    PC.create ~queue:`Lockfree ~queue_capacity:64 ~batch:50
+    PC.create ~record:true ~queue:`Lockfree ~queue_capacity:64 ~batch:50
       ~on_tick:(fun ~shard -> Conc.Chaos.point ch ~domain:shard)
       ~shards ()
   in
@@ -1083,6 +1255,8 @@ let () =
             test_concurrent_drain_exactly_once;
           Alcotest.test_case "last merge lag is the newest sample" `Quick
             test_last_merge_lag;
+          Alcotest.test_case "history needs ~record" `Quick
+            test_history_needs_record;
         ] );
       ( "handoff",
         [

@@ -48,6 +48,7 @@ let test_tiny_soak_passes () =
   List.iter
     (fun (r : S.round_report) ->
       Alcotest.(check int) "monotone clean" 0 r.S.monotone_violations;
+      Alcotest.(check bool) "history recorded" true (r.S.history_ops > 0);
       Alcotest.(check int) "conservation holds" 0 r.S.conservation_failures;
       Alcotest.(check int) "no epoch regressions" 0 r.S.epoch_regressions;
       Alcotest.(check int) "oracle lower bound holds" 0 r.S.oracle_lower_violations;
@@ -106,6 +107,34 @@ let test_cli_pipeline_bad_wal_parent_exits_2 () =
             (exe
            ^ " pipeline --ops 100 --wal /tmp/ivl-definitely-not-there/sub")))
 
+(* The CLI pipeline's IVL verdict must have checked a real history: its
+   envelope line counts the merge updates and reads it saw. *)
+let test_cli_pipeline_checks_history () =
+  if not (Sys.file_exists exe) then ()
+  else
+    with_dir @@ fun dir ->
+    let out = Filename.concat dir "out" in
+    Alcotest.(check int) "pipeline passes" 0
+      (Sys.command
+         (exe ^ " pipeline --ops 20000 >" ^ Filename.quote out ^ " 2>&1"));
+    let ic = open_in out in
+    let rec find () =
+      match input_line ic with
+      | l -> (
+          try
+            Scanf.sscanf l "envelope: %d merge updates + %d reads checked"
+              (fun u r -> Some (u, r))
+          with Scanf.Scan_failure _ | End_of_file | Failure _ -> find ())
+      | exception End_of_file -> None
+    in
+    let line = find () in
+    close_in ic;
+    match line with
+    | Some (updates, reads) ->
+        Alcotest.(check bool) "merge updates checked" true (updates > 0);
+        Alcotest.(check bool) "reads checked" true (reads > 0)
+    | None -> Alcotest.fail "no envelope line"
+
 let () =
   Alcotest.run "soak"
     [
@@ -122,5 +151,7 @@ let () =
             test_cli_recover_file_dir_exits_2;
           Alcotest.test_case "pipeline: bad --wal parent exits 2" `Quick
             test_cli_pipeline_bad_wal_parent_exits_2;
+          Alcotest.test_case "pipeline: envelope checks a history" `Quick
+            test_cli_pipeline_checks_history;
         ] );
     ]
